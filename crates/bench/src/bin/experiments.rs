@@ -59,10 +59,9 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sba::adversary::Fault;
 use sba::coin::{CoinEngine, CoinMsg};
 use sba::field::{Field, Gf101, Gf61};
-use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid};
+use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid, Role};
 use sba_bench::{loglog_slope, split_inputs, JsonSink, Stats};
 
 fn main() {
@@ -1031,26 +1030,25 @@ fn e1_termination(full: bool) {
     } else {
         &[(4, 1), (7, 2)]
     };
-    let faults: Vec<(&str, Option<Fault>)> = vec![
-        ("none", None),
-        ("silent", Some(Fault::Silent)),
-        ("crash@1500", Some(Fault::CrashAfter(1500))),
-        ("lying-shares", Some(Fault::LyingShares { delta: 5 })),
-        ("flipped-votes", Some(Fault::FlippedVotes)),
+    let faults: Vec<(&str, Role)> = vec![
+        ("none", Role::Honest),
+        ("silent", Role::Silent),
+        ("crash@1500", Role::Crash { after: 1500 }),
+        ("lying-shares", Role::LyingShares { delta: 5 }),
+        ("flipped-votes", Role::FlippedVotes),
     ];
     println!("| n | t | fault | terminated | agreement |");
     println!("|---|---|-------|-----------|-----------|");
     for &(n, t) in systems {
         // Larger systems cost ~10M messages per coin; sample fewer seeds.
         let seeds = if n > 4 && !full { 2 } else { seeds };
-        for (label, fault) in &faults {
+        for (label, role) in &faults {
             let mut terminated = 0;
             let mut agreed = 0;
             for seed in 0..seeds {
-                let mut config = ClusterConfig::new(n, t).seed(seed * 31 + 7);
-                if let Some(f) = fault.clone() {
-                    config = config.fault(Pid::new(n as u32), f);
-                }
+                let config = ClusterConfig::new(n, t)
+                    .seed(seed * 31 + 7)
+                    .role(Pid::new(n as u32), role.clone());
                 let mut cluster = Cluster::new(config, &split_inputs(n));
                 let report = cluster.run(600_000_000);
                 if report.terminated {
@@ -1163,7 +1161,7 @@ fn e2_rounds(full: bool) {
                     .seed(seed * 19 + 7)
                     .mode(mode_of(seed))
                     .max_rounds(4000)
-                    .fault(Pid::new(n as u32), Fault::FlippedVotes);
+                    .role(Pid::new(n as u32), Role::FlippedVotes);
                 let mut cluster = Cluster::new(config, &split_inputs(n));
                 let report = cluster.run(900_000_000);
                 assert!(report.terminated, "{label} n={n} seed={seed} stalled");
@@ -1359,7 +1357,7 @@ fn e5_shunning_bound(full: bool) {
         let (n, t) = (4usize, 1usize);
         let config = ClusterConfig::new(n, t)
             .seed(seed * 41 + 11)
-            .fault(Pid::new(n as u32), Fault::LyingShares { delta: 9 });
+            .role(Pid::new(n as u32), Role::LyingShares { delta: 9 });
         let mut cluster = Cluster::new(config, &split_inputs(n));
         let report = cluster.run(900_000_000);
         let mut pairs = report.shun_pairs.clone();
@@ -1685,7 +1683,7 @@ fn e10_threaded(full: bool) {
 
     let wall = Duration::from_secs(if full { 600 } else { 180 });
     for row in &rows {
-        for kind in [RuntimeKind::Threaded, RuntimeKind::Socket] {
+        for kind in RuntimeKind::ALL {
             let report = run_plan(kind, &row.plan, &row.inputs, wall).expect("socket setup failed");
             let validity_ok = match row.pin {
                 Some(bit) => report

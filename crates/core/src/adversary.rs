@@ -1,5 +1,6 @@
 //! Canned Byzantine behaviours and adversarial schedulers for the full
 //! stack, used by the fault-injection tests and the experiment harness.
+//! The behaviours are assigned to processes by [`Role`](crate::Role).
 
 use sba_aba::{AbaMsg, VoteSlot, VoteValue};
 use sba_broadcast::{MuxMsg, RbMsg, WrbMsg};
@@ -9,42 +10,6 @@ use sba_net::{Envelope, Pid, RbStep, SvssRbValue, Unpacked, WireKind};
 use sba_sim::{FnScheduler, Scheduler, Tamper};
 
 use crate::cluster::Msg;
-
-/// Fault models assignable to cluster processes.
-#[derive(Clone, Debug)]
-pub enum Fault {
-    /// Never sends anything (fail-silent).
-    Silent,
-    /// Honest until it has handled this many deliveries, then dead.
-    CrashAfter(u64),
-    /// Honest until it has handled `after` deliveries, down (missing,
-    /// but buffering, every delivery) for the next `down_for`, then
-    /// recovered: the missed backlog is replayed — catch-up from peers —
-    /// and the process runs honestly to its own decision.
-    CrashRecover {
-        /// Deliveries handled before the crash.
-        after: u64,
-        /// Deliveries missed while down.
-        down_for: u64,
-    },
-    /// Runs the honest protocol but forges every secret-sharing
-    /// reconstruction point it broadcasts, shifting it by `delta`. This is
-    /// the paper's Example-1-style attack, repeated forever: each coin
-    /// session it corrupts costs it a new shun pair (experiment E5).
-    LyingShares {
-        /// Additive forgery offset.
-        delta: u64,
-    },
-    /// Runs the honest protocol but flips every vote-layer bit it
-    /// originates (reports, candidates, votes, decide gossip).
-    FlippedVotes,
-    /// Runs the honest protocol but **equivocates**: tells half the
-    /// network one vote-layer bit and the other half its negation
-    /// (recipient-dependent tampering — the canonical Byzantine
-    /// behaviour reliable broadcast exists to defeat; see
-    /// [`equivocating_vote_tamper`]).
-    Equivocate,
-}
 
 /// Tamper: shift every SVSS reconstruction point this process originates
 /// by `delta`.
@@ -78,24 +43,7 @@ pub fn lying_share_tamper(
 
 /// Tamper: flip every vote-layer bit this process originates.
 pub fn vote_flip_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    move |_to, msg| {
-        let AbaMsg::Vote(m) = msg else {
-            return Tamper::Keep;
-        };
-        let RbMsg::Wrb(WrbMsg::Init(value)) = &m.inner else {
-            return Tamper::Keep;
-        };
-        let flipped = match value {
-            VoteValue::Bit(b) => VoteValue::Bit(!b),
-            VoteValue::MaybeBit(Some(b)) => VoteValue::MaybeBit(Some(!b)),
-            VoteValue::MaybeBit(None) => VoteValue::MaybeBit(Some(true)),
-        };
-        Tamper::Replace(vec![AbaMsg::Vote(MuxMsg {
-            tag: m.tag,
-            origin: m.origin,
-            inner: RbMsg::Wrb(WrbMsg::Init(flipped)),
-        })])
-    }
+    move |_to, msg| flip_vote(msg)
 }
 
 /// Tamper: equivocate on every vote-layer value this process originates —
@@ -107,26 +55,32 @@ pub fn vote_flip_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone
 /// equivocator merely fails to get some slots accepted and earns shuns).
 pub fn equivocating_vote_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
     move |to, msg| {
-        let AbaMsg::Vote(m) = msg else {
-            return Tamper::Keep;
-        };
-        let RbMsg::Wrb(WrbMsg::Init(value)) = &m.inner else {
-            return Tamper::Keep;
-        };
         if to.index() % 2 == 1 {
             return Tamper::Keep; // odd recipients hear the honest value
         }
-        let flipped = match value {
-            VoteValue::Bit(b) => VoteValue::Bit(!b),
-            VoteValue::MaybeBit(Some(b)) => VoteValue::MaybeBit(Some(!b)),
-            VoteValue::MaybeBit(None) => VoteValue::MaybeBit(Some(true)),
-        };
-        Tamper::Replace(vec![AbaMsg::Vote(MuxMsg {
-            tag: m.tag,
-            origin: m.origin,
-            inner: RbMsg::Wrb(WrbMsg::Init(flipped)),
-        })])
+        flip_vote(msg)
     }
+}
+
+/// Replaces a vote-layer initial value with its negation (an undecided
+/// `MaybeBit(None)` becomes `Some(true)`); keeps every other message.
+fn flip_vote(msg: &Msg) -> Tamper<Msg> {
+    let AbaMsg::Vote(m) = msg else {
+        return Tamper::Keep;
+    };
+    let RbMsg::Wrb(WrbMsg::Init(value)) = &m.inner else {
+        return Tamper::Keep;
+    };
+    let flipped = match value {
+        VoteValue::Bit(b) => VoteValue::Bit(!b),
+        VoteValue::MaybeBit(Some(b)) => VoteValue::MaybeBit(Some(!b)),
+        VoteValue::MaybeBit(None) => VoteValue::MaybeBit(Some(true)),
+    };
+    Tamper::Replace(vec![AbaMsg::Vote(MuxMsg {
+        tag: m.tag,
+        origin: m.origin,
+        inner: RbMsg::Wrb(WrbMsg::Init(flipped)),
+    })])
 }
 
 /// Scheduler: delays the vote-layer traffic of `victims` by `factor`

@@ -8,7 +8,8 @@ use sba_sim::{
     schedulers, CrashProcess, Metrics, Process, Scheduler, SilentProcess, Simulation, TamperProcess,
 };
 
-use crate::adversary::{self, Fault};
+use crate::adversary;
+use crate::scenario::Role;
 
 /// The cluster's wire message type (the full stack over `GF(2^61−1)`).
 pub type Msg = AbaMsg<Gf61>;
@@ -23,7 +24,7 @@ pub struct ClusterConfig {
     max_rounds: u32,
     max_delay: u64,
     detection: bool,
-    faults: Vec<(Pid, Fault)>,
+    roles: Vec<(Pid, Role)>,
 }
 
 impl ClusterConfig {
@@ -44,7 +45,7 @@ impl ClusterConfig {
             max_rounds: 200,
             max_delay: 20,
             detection: true,
-            faults: Vec::new(),
+            roles: Vec::new(),
         }
     }
 
@@ -72,9 +73,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Corrupts process `p` with the given fault.
-    pub fn fault(mut self, p: Pid, fault: Fault) -> Self {
-        self.faults.push((p, fault));
+    /// Assigns process `p` the given role (unlisted processes are
+    /// honest).
+    pub fn role(mut self, p: Pid, role: Role) -> Self {
+        self.roles.push((p, role));
         self
     }
 
@@ -96,68 +98,48 @@ impl ClusterConfig {
 
     /// Builds the process table this config describes — the same table
     /// for every runtime: [`Cluster::with_scheduler`] hands it to the
-    /// deterministic simulator, the threaded and socket harnesses hand
-    /// it to `sba_sim::threaded` / `sba_sim::socket`. `inputs[i]` is
-    /// process `i+1`'s proposal (`None` for a bystander). Also returns
-    /// the fault-free pids (the initial value of [`Cluster::honest`];
-    /// note crash-recover processes are *not* in it despite counting as
+    /// deterministic simulator, [`run_plan`](crate::run_plan) to
+    /// `sba_sim::threaded` on either link. `inputs[i]` is process
+    /// `i+1`'s proposal (`None` for a bystander). Also returns the
+    /// honest-role pids (the initial value of [`Cluster::honest`]; note
+    /// crash-recover processes are *not* in it despite counting as
     /// honest for reporting — use [`ClusterProcess::is_honest`] for the
     /// reporting-honest set).
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != n` or more than `t` processes are
-    /// corrupted.
+    /// Panics if `inputs.len() != n`, a role names a pid outside
+    /// `1..=n` or a pid that already has one, or more than `t` roles are
+    /// non-honest.
     pub fn processes(&self, inputs: &[Option<bool>]) -> (Vec<ClusterProcess>, Vec<Pid>) {
         assert_eq!(inputs.len(), self.n, "one input slot per process");
+        let mut roles = vec![&Role::Honest; self.n];
+        for (k, (p, role)) in self.roles.iter().enumerate() {
+            assert!(p.index() as usize <= self.n, "role for {p:?} outside 1..=n");
+            let repeated = self.roles[..k].iter().any(|(q, _)| q == p);
+            assert!(!repeated, "{p:?} has more than one role");
+            roles[(p.index() - 1) as usize] = role;
+        }
         assert!(
-            self.faults.len() <= self.t,
+            roles.iter().filter(|r| ***r != Role::Honest).count() <= self.t,
             "more corrupted processes than t"
         );
         let params = sba_broadcast::Params::new(self.n, self.t).expect("n > 3t");
-        let mut honest = Vec::new();
-        let procs = (1..=self.n)
-            .map(|i| {
-                let pid = Pid::new(i as u32);
-                let fault = self
-                    .faults
-                    .iter()
-                    .find(|(p, _)| *p == pid)
-                    .map(|(_, f)| f.clone());
-                let mut aba_config = AbaConfig::scc(params, self.seed ^ ((i as u64) << 32));
+        let honest = Pid::all(self.n)
+            .filter(|p| *roles[(p.index() - 1) as usize] == Role::Honest)
+            .collect();
+        let procs = Pid::all(self.n)
+            .zip(inputs)
+            .zip(roles)
+            .map(|((pid, input), role)| {
+                let i = u64::from(pid.index());
+                let mut aba_config = AbaConfig::scc(params, self.seed ^ (i << 32));
                 aba_config.mode = self.mode;
                 aba_config.max_rounds = self.max_rounds;
                 aba_config.detection = self.detection;
                 let node: AbaNode<Gf61> = AbaNode::new(pid, aba_config);
-                let proposals = match inputs[i - 1] {
-                    Some(bit) => vec![(0u32, bit)],
-                    None => vec![],
-                };
-                let process = AbaProcess::new(node, proposals);
-                match fault {
-                    None => {
-                        honest.push(pid);
-                        ClusterProcess::Honest(process)
-                    }
-                    Some(Fault::Silent) => ClusterProcess::Silent(SilentProcess),
-                    Some(Fault::CrashAfter(k)) => {
-                        ClusterProcess::Crash(CrashProcess::new(process, k))
-                    }
-                    Some(Fault::CrashRecover { after, down_for }) => ClusterProcess::Recovering(
-                        CrashProcess::with_recovery(process, after, down_for),
-                    ),
-                    Some(Fault::LyingShares { delta }) => ClusterProcess::Byzantine(
-                        TamperProcess::new(process, adversary::lying_share_tamper(delta)),
-                    ),
-                    Some(Fault::FlippedVotes) => ClusterProcess::Byzantine(TamperProcess::new(
-                        process,
-                        adversary::vote_flip_tamper(),
-                    )),
-                    Some(Fault::Equivocate) => ClusterProcess::Byzantine(TamperProcess::new(
-                        process,
-                        adversary::equivocating_vote_tamper(),
-                    )),
-                }
+                let proposals = input.map(|bit| (0u32, bit)).into_iter().collect();
+                ClusterProcess::with_role(AbaProcess::new(node, proposals), role)
             })
             .collect();
         (procs, honest)
@@ -185,6 +167,32 @@ pub enum ClusterProcess {
 }
 
 impl ClusterProcess {
+    /// Wraps a fresh or running honest process in the behaviour `role`
+    /// prescribes — the one constructor behind both
+    /// [`ClusterConfig::processes`] and [`Cluster::corrupt`].
+    fn with_role(process: AbaProcess<Gf61>, role: &Role) -> ClusterProcess {
+        match *role {
+            Role::Honest => ClusterProcess::Honest(process),
+            Role::Silent => ClusterProcess::Silent(SilentProcess),
+            Role::Crash { after } => ClusterProcess::Crash(CrashProcess::new(process, after)),
+            Role::CrashRecover { after, down_for } => {
+                ClusterProcess::Recovering(CrashProcess::with_recovery(process, after, down_for))
+            }
+            Role::LyingShares { delta } => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::lying_share_tamper(delta),
+            )),
+            Role::FlippedVotes => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::vote_flip_tamper(),
+            )),
+            Role::Equivocating => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::equivocating_vote_tamper(),
+            )),
+        }
+    }
+
     /// The underlying node, when one exists (silent processes have none).
     pub fn node(&self) -> Option<&AbaNode<Gf61>> {
         match self {
@@ -321,7 +329,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster. `inputs[i]` is process `i+1`'s proposal (or
-    /// `None` for a non-proposing bystander). Faults from the config
+    /// `None` for a non-proposing bystander). Roles from the config
     /// override behaviour entirely.
     ///
     /// # Panics
@@ -402,7 +410,7 @@ impl Cluster {
         self.monitor.as_ref().map(|m| m.report())
     }
 
-    /// Corrupts process `p` **mid-run** with `fault`, keeping its
+    /// Corrupts process `p` **mid-run** with `role`, keeping its
     /// accumulated protocol state: an *adaptive* adversary that picks
     /// its victim after watching the run (the timed `Corrupt` action of
     /// a [`ScenarioPlan`](crate::ScenarioPlan)). The process drops out
@@ -411,38 +419,17 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not currently honest (corrupting a corrupted
-    /// process has no sensible semantics — use [`Cluster::crash`] to
-    /// re-crash a crash-recover process).
-    pub fn corrupt(&mut self, p: Pid, fault: Fault) {
+    /// Panics if `role` is [`Role::Honest`], or if `p` is not currently
+    /// honest (corrupting a corrupted process has no sensible semantics
+    /// — use [`Cluster::crash`] to re-crash a crash-recover process).
+    pub fn corrupt(&mut self, p: Pid, role: Role) {
+        assert!(role != Role::Honest, "corrupt requires a non-honest role");
         let slot = self.sim.process_mut(p);
-        assert!(
-            matches!(slot, ClusterProcess::Honest(_)),
-            "corrupt targets a currently-honest process"
-        );
         let taken = std::mem::replace(slot, ClusterProcess::Silent(SilentProcess));
         let ClusterProcess::Honest(process) = taken else {
-            unreachable!("asserted honest above");
+            panic!("corrupt targets a currently-honest process");
         };
-        *self.sim.process_mut(p) = match fault {
-            Fault::Silent => ClusterProcess::Silent(SilentProcess),
-            Fault::CrashAfter(k) => ClusterProcess::Crash(CrashProcess::new(process, k)),
-            Fault::CrashRecover { after, down_for } => {
-                ClusterProcess::Recovering(CrashProcess::with_recovery(process, after, down_for))
-            }
-            Fault::LyingShares { delta } => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::lying_share_tamper(delta),
-            )),
-            Fault::FlippedVotes => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::vote_flip_tamper(),
-            )),
-            Fault::Equivocate => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::equivocating_vote_tamper(),
-            )),
-        };
+        *self.sim.process_mut(p) = ClusterProcess::with_role(process, &role);
         // Crash-recover keeps the process in the honest (omission-fault)
         // set; everything else removes it.
         if !self.sim.process(p).is_honest() {
@@ -639,9 +626,43 @@ mod tests {
     #[should_panic(expected = "more corrupted processes than t")]
     fn rejects_too_many_faults() {
         let config = ClusterConfig::new(4, 1)
-            .fault(Pid::new(3), Fault::Silent)
-            .fault(Pid::new(4), Fault::Silent);
+            .role(Pid::new(3), Role::Silent)
+            .role(Pid::new(4), Role::Silent);
         let _ = Cluster::new(config, &[Some(true); 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=n")]
+    fn rejects_role_pid_above_n() {
+        let config = ClusterConfig::new(4, 1).role(Pid::new(9), Role::Silent);
+        let _ = Cluster::new(config, &[Some(true); 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one role")]
+    fn rejects_repeated_role_pid() {
+        let config = ClusterConfig::new(4, 1)
+            .role(Pid::new(4), Role::Silent)
+            .role(Pid::new(4), Role::FlippedVotes);
+        let _ = Cluster::new(config, &[Some(true); 4]);
+    }
+
+    #[test]
+    fn honest_roles_do_not_count_toward_t() {
+        let config = ClusterConfig::new(4, 1)
+            .role(Pid::new(3), Role::Honest)
+            .role(Pid::new(4), Role::Silent);
+        let (procs, honest) = config.processes(&[Some(true); 4]);
+        assert_eq!(honest, vec![Pid::new(1), Pid::new(2), Pid::new(3)]);
+        assert!(matches!(procs[2], ClusterProcess::Honest(_)));
+        assert!(matches!(procs[3], ClusterProcess::Silent(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt requires a non-honest role")]
+    fn corrupt_rejects_the_honest_role() {
+        let mut cluster = Cluster::new(ClusterConfig::new(4, 1), &[Some(true); 4]);
+        cluster.corrupt(Pid::new(2), Role::Honest);
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! ([`Zoo::plan`]); compound scenarios that used to require bespoke
 //! harness code are one literal each ([`ScenarioPlan::compounds`]).
 
-use sba_net::Pid;
+use sba_net::{Pid, MAX_N};
 use sba_sim::{schedulers, Scheduler, Simulation};
 
-use crate::adversary::Fault;
 use crate::cluster::{ClusterProcess, Msg};
 use crate::{Cluster, ClusterCheckpoint, ClusterConfig, ClusterReport, CoinMode, OracleCoin};
 
@@ -49,44 +48,36 @@ pub enum Role {
         /// Deliveries handled before the crash.
         after: u64,
     },
-    /// Honest, down for a bounded outage, then recovered via backlog
-    /// replay ([`Fault::CrashRecover`]).
+    /// Honest until it has handled `after` deliveries, down (missing,
+    /// but buffering, every delivery) for the next `down_for`, then
+    /// recovered: the missed backlog is replayed — catch-up from peers —
+    /// and the process runs honestly to its own decision.
     CrashRecover {
         /// Deliveries handled before the crash.
         after: u64,
         /// Deliveries missed while down.
         down_for: u64,
     },
-    /// Forges every SVSS reconstruction point it broadcasts, shifted by
-    /// `delta` ([`Fault::LyingShares`]).
+    /// Runs the honest protocol but forges every SVSS reconstruction
+    /// point it broadcasts, shifted by `delta`
+    /// ([`lying_share_tamper`](crate::adversary::lying_share_tamper)).
+    /// This is the paper's Example-1-style attack, repeated forever: each
+    /// coin session it corrupts costs it a new shun pair (experiment E5).
     LyingShares {
         /// Additive forgery offset.
         delta: u64,
     },
-    /// Flips every vote-layer bit it originates ([`Fault::FlippedVotes`]).
+    /// Runs the honest protocol but flips every vote-layer bit it
+    /// originates: reports, candidates, votes, decide gossip
+    /// ([`vote_flip_tamper`](crate::adversary::vote_flip_tamper)).
     FlippedVotes,
-    /// Tells half the network one vote-layer bit and the other half its
-    /// negation ([`Fault::Equivocate`]).
+    /// Runs the honest protocol but **equivocates**: tells half the
+    /// network one vote-layer bit and the other half its negation
+    /// ([`equivocating_vote_tamper`](crate::adversary::equivocating_vote_tamper)).
     Equivocating,
 }
 
 impl Role {
-    /// The cluster fault implementing this role (`None` for honest).
-    pub fn fault(&self) -> Option<Fault> {
-        match self {
-            Role::Honest => None,
-            Role::Silent => Some(Fault::Silent),
-            Role::Crash { after } => Some(Fault::CrashAfter(*after)),
-            Role::CrashRecover { after, down_for } => Some(Fault::CrashRecover {
-                after: *after,
-                down_for: *down_for,
-            }),
-            Role::LyingShares { delta } => Some(Fault::LyingShares { delta: *delta }),
-            Role::FlippedVotes => Some(Fault::FlippedVotes),
-            Role::Equivocating => Some(Fault::Equivocate),
-        }
-    }
-
     fn kind(&self) -> u64 {
         match self {
             Role::Honest => 0,
@@ -355,12 +346,12 @@ impl ScenarioPlan {
     }
 
     /// The [`ClusterConfig`] this plan describes: n, t, seed, coin mode,
-    /// and the role faults — everything *except* the scheduler layers
-    /// and timed events, which are schedule concerns and therefore
-    /// sim-only. This is the runtime-independent core of the plan: the
-    /// threaded and socket harnesses build their process tables from it
-    /// (via [`ClusterConfig::processes`]) while the OS supplies the
-    /// schedule.
+    /// and the roles — everything *except* the scheduler layers and
+    /// timed events, which are schedule concerns and therefore sim-only.
+    /// This is the runtime-independent core of the plan:
+    /// [`run_plan`](crate::run_plan) builds its process table from it
+    /// (via [`ClusterConfig::processes`]) on either link while the OS
+    /// supplies the schedule.
     ///
     /// # Panics
     ///
@@ -371,9 +362,7 @@ impl ScenarioPlan {
             config = config.mode(CoinMode::Oracle(OracleCoin::new(seed, 0)));
         }
         for (p, role) in &self.roles {
-            if let Some(fault) = role.fault() {
-                config = config.fault(*p, fault);
-            }
+            config = config.role(*p, role.clone());
         }
         config
     }
@@ -527,7 +516,11 @@ impl ScenarioPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed key.
+    /// Returns a description of the first missing or malformed key, and
+    /// rejects plans no cluster can run: `n <= 3t`, `n > MAX_N`, a pid
+    /// outside `1..=n` (in a role, a rushing target, a partition group,
+    /// or a corrupt/crash action), a pid with two roles, more than `t`
+    /// non-honest roles, or a corruption to [`Role::Honest`].
     pub fn from_kv(name: &str, kv: &[(String, f64)]) -> Result<ScenarioPlan, String> {
         let get = |key: String| -> Result<u64, String> {
             kv.iter()
@@ -541,6 +534,19 @@ impl ScenarioPlan {
         }
         let n = get("plan.n".into())? as usize;
         let t = get("plan.t".into())? as usize;
+        if n <= t.saturating_mul(3) {
+            return Err(format!("n = {n} must exceed 3t (t = {t})"));
+        }
+        if n > MAX_N as usize {
+            return Err(format!("n = {n} exceeds MAX_N = {MAX_N}"));
+        }
+        let pid = |key: String| -> Result<Pid, String> {
+            let v = get(key.clone())?;
+            if v == 0 || v > n as u64 {
+                return Err(format!("{key} = {v} outside 1..={n}"));
+            }
+            Ok(Pid::new(v as u32))
+        };
         let seed = get("plan.seed".into())?;
         let monitor = get("plan.monitor".into())? != 0;
         let coin = match get("plan.coin.kind".into())? {
@@ -553,13 +559,19 @@ impl ScenarioPlan {
         let mut roles = Vec::new();
         for i in 0..get("plan.roles.count".into())? {
             let pre = format!("plan.roles.r{i}");
-            let pid = Pid::new(get(format!("{pre}.pid"))? as u32);
+            let p = pid(format!("{pre}.pid"))?;
+            if roles.iter().any(|(q, _)| *q == p) {
+                return Err(format!("{p:?} has more than one role"));
+            }
             let role = Role::decode(
                 get(format!("{pre}.kind"))?,
                 get(format!("{pre}.a"))?,
                 get(format!("{pre}.b"))?,
             )?;
-            roles.push((pid, role));
+            roles.push((p, role));
+        }
+        if roles.iter().filter(|(_, r)| *r != Role::Honest).count() > t {
+            return Err(format!("more than t = {t} non-honest roles"));
         }
         let mut layers = Vec::new();
         for i in 0..get("plan.layers.count".into())? {
@@ -570,7 +582,7 @@ impl ScenarioPlan {
                 },
                 1 => SchedLayer::Fifo,
                 2 => SchedLayer::HealedPartition {
-                    group_a: read_group(&get, &pre)?,
+                    group_a: read_group(&get, &pre, n)?,
                     heal_at: get(format!("{pre}.a"))?,
                     base: get(format!("{pre}.b"))?,
                 },
@@ -581,7 +593,7 @@ impl ScenarioPlan {
                     base: get(format!("{pre}.d"))?,
                 },
                 4 => SchedLayer::Rushing {
-                    target: Pid::new(get(format!("{pre}.a"))? as u32),
+                    target: pid(format!("{pre}.a"))?,
                     window: get(format!("{pre}.b"))?,
                 },
                 5 => SchedLayer::HeavyTail {
@@ -589,7 +601,7 @@ impl ScenarioPlan {
                     cap: get(format!("{pre}.b"))?,
                 },
                 6 => SchedLayer::WindowPartition {
-                    group_a: read_group(&get, &pre)?,
+                    group_a: read_group(&get, &pre, n)?,
                     from: get(format!("{pre}.a"))?,
                     until: get(format!("{pre}.b"))?,
                     base: get(format!("{pre}.c"))?,
@@ -611,15 +623,18 @@ impl ScenarioPlan {
             let action = match get(format!("{pre}.action"))? {
                 0 => Action::HealPartitions,
                 1 => Action::Corrupt {
-                    p: Pid::new(get(format!("{pre}.pid"))? as u32),
-                    role: Role::decode(
+                    p: pid(format!("{pre}.pid"))?,
+                    role: match Role::decode(
                         get(format!("{pre}.kind"))?,
                         get(format!("{pre}.a"))?,
                         get(format!("{pre}.b"))?,
-                    )?,
+                    )? {
+                        Role::Honest => return Err(format!("{pre} corrupts to the honest role")),
+                        role => role,
+                    },
                 },
                 2 => Action::Crash {
-                    p: Pid::new(get(format!("{pre}.pid"))? as u32),
+                    p: pid(format!("{pre}.pid"))?,
                     down_for: if get(format!("{pre}.a"))? != 0 {
                         Some(get(format!("{pre}.b"))?)
                     } else {
@@ -773,14 +788,23 @@ fn push_group(kv: &mut Vec<(String, f64)>, pre: &str, group: &[Pid]) {
     }
 }
 
-/// Decodes a partition group from its membership words, ascending.
-fn read_group(get: &impl Fn(String) -> Result<u64, String>, pre: &str) -> Result<Vec<Pid>, String> {
+/// Decodes a partition group from its membership words, ascending;
+/// every member must be in `1..=n`.
+fn read_group(
+    get: &impl Fn(String) -> Result<u64, String>,
+    pre: &str,
+    n: usize,
+) -> Result<Vec<Pid>, String> {
     let mut group = Vec::new();
     for w in 0..8usize {
         let word = get(format!("{pre}.g{w}"))? as u32;
         for b in 0..32usize {
             if word & (1 << b) != 0 {
-                group.push(Pid::new((w * 32 + b + 1) as u32));
+                let index = w * 32 + b + 1;
+                if index > n {
+                    return Err(format!("{pre} group member {index} outside 1..={n}"));
+                }
+                group.push(Pid::new(index as u32));
             }
         }
     }
@@ -855,10 +879,7 @@ impl PlanRun {
                 applied += 1;
                 match ev.action {
                     Action::HealPartitions => self.cluster.sim_mut().heal_partitions(),
-                    Action::Corrupt { p, role } => {
-                        let fault = role.fault().expect("Corrupt requires a non-honest role");
-                        self.cluster.corrupt(p, fault);
-                    }
+                    Action::Corrupt { p, role } => self.cluster.corrupt(p, role),
                     Action::Crash { p, down_for } => self.cluster.crash(p, down_for),
                 }
             } else {
@@ -994,7 +1015,7 @@ pub enum Zoo {
     /// ([`schedulers::healed_partition`]).
     HealedPartition,
     /// One process crashes mid-protocol, misses a stretch of deliveries,
-    /// then recovers and catches up ([`Fault::CrashRecover`]).
+    /// then recovers and catches up ([`Role::CrashRecover`]).
     CrashRecover,
     /// Lossy links with bounded retransmission
     /// ([`schedulers::loss_retransmit`]).
@@ -1157,6 +1178,53 @@ mod tests {
             let kv = plan.to_kv();
             let back = ScenarioPlan::from_kv(&plan.name, &kv).expect("decodes");
             assert_eq!(plan, back, "{}", plan.name);
+        }
+    }
+
+    #[test]
+    fn from_kv_rejects_malformed_plans() {
+        // Roles r0/r1, partition layer l0, rushing layer l1, crash
+        // action e0 and corrupt action e1: every pid-carrying key.
+        let mut plan = Zoo::HealedPartition.plan(7, 2, 1);
+        plan.roles = vec![
+            (Pid::new(6), Role::Silent),
+            (Pid::new(7), Role::FlippedVotes),
+        ];
+        plan.layers.push(SchedLayer::Rushing {
+            target: Pid::new(1),
+            window: 30,
+        });
+        plan.events = ScenarioPlan::crash_during_recovery(7, 2, 1).events;
+        plan.events.push(PlanEvent {
+            at: Trigger::AtRound(2),
+            action: Action::Corrupt {
+                p: Pid::new(3),
+                role: Role::Silent,
+            },
+        });
+        let kv = plan.to_kv();
+        assert_eq!(ScenarioPlan::from_kv(&plan.name, &kv), Ok(plan));
+        let with = |key: &str, value: f64| -> Vec<(String, f64)> {
+            let mut kv = kv.clone();
+            kv.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
+            kv
+        };
+        let cases = [
+            ("role pid 0", with("plan.roles.r0.pid", 0.0)),
+            ("role pid above n", with("plan.roles.r0.pid", 8.0)),
+            ("repeated role pid", with("plan.roles.r1.pid", 6.0)),
+            ("rushing target above n", with("plan.layers.l1.a", 8.0)),
+            ("partition member above n", with("plan.layers.l0.g0", 128.0)),
+            ("crash pid 0", with("plan.events.e0.pid", 0.0)),
+            ("corrupt pid above n", with("plan.events.e1.pid", 8.0)),
+            ("n <= 3t", with("plan.t", 3.0)),
+            ("n above MAX_N", with("plan.n", f64::from(MAX_N + 1))),
+            ("t above u64 range / 3", with("plan.t", 1e300)),
+            ("more than t non-honest roles", with("plan.t", 1.0)),
+            ("corrupt to honest", with("plan.events.e1.kind", 0.0)),
+        ];
+        for (case, kv) in cases {
+            assert!(ScenarioPlan::from_kv("bad", &kv).is_err(), "{case}");
         }
     }
 

@@ -1,8 +1,7 @@
 //! System runtimes for the cluster: the same protocol stack a
-//! [`Cluster`](crate::Cluster) simulates, run on OS threads
-//! ([`sba_sim::threaded`]) or over real loopback TCP sockets
-//! ([`sba_sim::socket`]), with a live decision watch riding every
-//! delivery.
+//! [`Cluster`](crate::Cluster) simulates, run on OS threads over
+//! channels or over real loopback TCP sockets ([`sba_sim::threaded`]),
+//! with a live decision watch riding every delivery.
 //!
 //! The deterministic simulator stays the correctness *oracle*: it
 //! explores adversarial schedules reproducibly and pins exact
@@ -27,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sba_net::{Outbox, Pid};
+pub use sba_sim::threaded::RuntimeKind;
 use sba_sim::threaded::ThreadedStats;
 use sba_sim::Process;
 
@@ -36,27 +36,6 @@ use crate::ScenarioPlan;
 /// How many violations are kept verbatim; later ones are only counted
 /// (a persistent violation re-fires on every subsequent batch).
 const MAX_RECORDED: usize = 64;
-
-/// Which system runtime to drive the cluster with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// One OS thread per process, crossbeam channels between them
-    /// ([`sba_sim::threaded`]).
-    Threaded,
-    /// One OS thread per process, loopback TCP between them, shipping
-    /// the canonical per-recipient frame bytes ([`sba_sim::socket`]).
-    Socket,
-}
-
-impl RuntimeKind {
-    /// The stable name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Threaded => "threaded",
-            RuntimeKind::Socket => "socket",
-        }
-    }
-}
 
 /// One safety violation observed by the [`DecisionWatch`], localized to
 /// the delivered batch that exposed it.
@@ -301,8 +280,9 @@ impl RuntimeReport {
 ///
 /// # Panics
 ///
-/// Panics unless `n > 3t`, `inputs.len() == n`, at most `t` roles are
-/// corrupted — and, for [`RuntimeKind::Socket`], `n >= 2`.
+/// Panics unless `n > 3t`, `inputs.len() == n`, the role table passes
+/// [`ClusterConfig::processes`](crate::ClusterConfig::processes) — and,
+/// for [`RuntimeKind::Socket`], `n >= 2`.
 ///
 /// # Errors
 ///
@@ -336,10 +316,7 @@ pub fn run_plan(
         })
         .collect();
 
-    let (watched, stats) = match kind {
-        RuntimeKind::Threaded => sba_sim::threaded::run(watched, wall_limit),
-        RuntimeKind::Socket => sba_sim::socket::run(watched, wall_limit)?,
-    };
+    let (watched, stats) = sba_sim::threaded::run(watched, kind, wall_limit)?;
 
     let mut decisions = vec![None; n];
     for (k, w) in watched.iter().enumerate() {

@@ -131,22 +131,12 @@ fn invalid(msg: &str) -> io::Error {
 /// its own OS thread (or its streams `try_clone`d for a dedicated reader
 /// per peer).
 pub struct MeshEndpoint {
-    me: Pid,
-    /// Index `k` is the stream to pid `k+1`; `None` at `me`.
+    /// Index `k` is the stream to pid `k+1`; `None` at this endpoint's
+    /// own pid.
     peers: Vec<Option<TcpStream>>,
 }
 
 impl MeshEndpoint {
-    /// This endpoint's pid.
-    pub fn me(&self) -> Pid {
-        self.me
-    }
-
-    /// Number of endpoints in the mesh.
-    pub fn n(&self) -> usize {
-        self.peers.len()
-    }
-
     /// The stream to `peer`.
     ///
     /// # Panics
@@ -235,11 +225,7 @@ pub fn loopback_mesh(n: usize) -> io::Result<Vec<MeshEndpoint>> {
     }
     Ok(peers
         .into_iter()
-        .enumerate()
-        .map(|(k, p)| MeshEndpoint {
-            me: Pid::new(k as u32 + 1),
-            peers: p,
-        })
+        .map(|peers| MeshEndpoint { peers })
         .collect())
 }
 
@@ -252,8 +238,7 @@ mod tests {
         let mesh = loopback_mesh(4).unwrap();
         assert_eq!(mesh.len(), 4);
         for (k, ep) in mesh.iter().enumerate() {
-            assert_eq!(ep.me(), Pid::new(k as u32 + 1));
-            assert_eq!(ep.n(), 4);
+            assert_eq!(ep.peers.len(), 4);
             for j in 0..4 {
                 assert_eq!(ep.peers[j].is_some(), j != k);
             }

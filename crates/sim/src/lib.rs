@@ -15,8 +15,9 @@
 //! - the run is a pure function of the seed, so every experiment is
 //!   replayable.
 //!
-//! A thread-based runtime ([`threaded`]) runs the same state machines over
-//! real channels as a realism check (experiment E10).
+//! A thread-per-process runtime ([`threaded`]) runs the same state
+//! machines over real channels or loopback TCP sockets as a realism
+//! check (experiment E10).
 //!
 //! # Examples
 //!
@@ -57,7 +58,6 @@ mod metrics;
 mod observer;
 mod process;
 mod simulation;
-pub mod socket;
 mod tamper;
 pub mod threaded;
 

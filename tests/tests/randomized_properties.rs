@@ -3,8 +3,7 @@
 //! hold for every generated case.
 
 use proptest::prelude::*;
-use sba::adversary::Fault;
-use sba::{Cluster, ClusterConfig, Pid};
+use sba::{Cluster, ClusterConfig, Pid, Role};
 
 proptest! {
     // Each case is a full multi-process protocol run; keep the count
@@ -48,15 +47,15 @@ proptest! {
         victim in 1u32..=4,
         fault_kind in 0u8..4,
     ) {
-        let fault = match fault_kind {
-            0 => Fault::Silent,
-            1 => Fault::CrashAfter(seed % 3000),
-            2 => Fault::LyingShares { delta: 1 + seed % 11 },
-            _ => Fault::FlippedVotes,
+        let role = match fault_kind {
+            0 => Role::Silent,
+            1 => Role::Crash { after: seed % 3000 },
+            2 => Role::LyingShares { delta: 1 + seed % 11 },
+            _ => Role::FlippedVotes,
         };
         let config = ClusterConfig::new(4, 1)
             .seed(seed)
-            .fault(Pid::new(victim), fault);
+            .role(Pid::new(victim), role);
         let inputs: Vec<Option<bool>> = bits.iter().copied().map(Some).collect();
         let mut cluster = Cluster::new(config, &inputs);
         let report = cluster.run(80_000_000);
